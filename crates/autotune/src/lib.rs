@@ -5,11 +5,18 @@
 //!   reuse ratios per loop level, annotation one-hots (Fig. 13);
 //! * [`gbt`] — from-scratch gradient-boosted trees with regression and
 //!   pairwise-rank objectives (§5.2);
-//! * [`mlp`] — the neural-network alternative cost model the paper
-//!   compares against (its TreeRNN stand-in);
-//! * [`tuner`] — parallel simulated-annealing explorer guided by the cost
-//!   model, plus the random-search and genetic-algorithm baselines of
-//!   Fig. 12 (§5.3);
+//! * [`tuner`] — one measurement loop driven by a proposer × scorer pair
+//!   per [`TunerKind`] (§5.3):
+//!
+//!   | Kind | Proposer | Scorer |
+//!   |---|---|---|
+//!   | `Random` | uniform random | none |
+//!   | `Genetic` | population | none |
+//!   | `Evolutionary` | population | GBT, rank objective |
+//!   | `GbtRank` | simulated annealing | GBT, rank objective |
+//!   | `GbtReg` | simulated annealing | GBT, regression objective |
+//!   | `Predefined` | random sample | static heuristic |
+//!
 //! * [`pool`] — the RPC device-pool protocol against simulated devices,
 //!   with fault-tolerant scheduling (timeouts, retries, quarantine,
 //!   replica verification) under injected chaos (§5.4);
@@ -27,7 +34,6 @@ pub mod db;
 pub mod error;
 pub mod features;
 pub mod gbt;
-pub mod mlp;
 pub mod pool;
 pub mod sketch;
 pub mod transfer;
@@ -43,7 +49,6 @@ pub use features::{
 pub use gbt::{
     fit, fit_more, fit_profiled, pairwise_accuracy, FitProfile, Gbt, GbtParams, Objective,
 };
-pub use mlp::{fit_mlp, Mlp, MlpParams};
 pub use pool::{DeviceHealth, JobOutcome, MeasureError, PoolStats, RetryPolicy, RpcMsg, Tracker};
 pub use sketch::{sketch_space_size, sketch_task, SketchTask};
 pub use transfer::{map_config, warm_start_seeds};

@@ -1,24 +1,49 @@
 //! The automated schedule optimizer (§5): schedule explorer + ML cost
 //! model + measurement loop (Fig. 11).
 //!
-//! Tuners implemented, matching the Fig. 12 comparison:
+//! Every [`TunerKind`] runs the same measurement loop. A kind only picks
+//! a *proposer*, which generates each round's candidates, and a *scorer*,
+//! which ranks them before measurement — the exploration module and the
+//! cost model of "Learning to Optimize Tensor Programs":
 //!
-//! * **GBT (rank / regression)** — the ML-based optimizer: a
-//!   gradient-boosted-tree cost model trained online on measured trials
-//!   guides a parallel simulated-annealing explorer (§5.3).
-//! * **Random** — blackbox random search.
-//! * **Genetic** — blackbox genetic algorithm over knob digit vectors.
+//! | Kind | Proposer | Scorer |
+//! |---|---|---|
+//! | `Random` | uniform random | none |
+//! | `Genetic` | population | none |
+//! | `Evolutionary` | population | GBT, rank objective |
+//! | `GbtRank` | simulated annealing | GBT, rank objective |
+//! | `GbtReg` | simulated annealing | GBT, regression objective |
+//! | `Predefined` | random sample | static heuristic |
+//!
+//! * *uniform random* — unmeasured configs drawn uniformly (the Fig. 12
+//!   random-search baseline);
+//! * *simulated annealing* — parallel chains walk the scorer's
+//!   predictions, half of them restarted each round from the best
+//!   measured configs or random points (§5.3);
+//! * *population* — the best measured configs breed children by
+//!   tournament selection, knob-wise crossover and mutation. Without a
+//!   scorer the children are measured directly (the Fig. 12 genetic
+//!   baseline); with the GBT they evolve against the model for several
+//!   rounds between measurements (the sketch-space driver);
+//! * *random sample* — one sample ranked by a hand-written heuristic, of
+//!   which only the predicted best are measured (Table 1's predefined
+//!   cost model).
+//!
+//! The GBT scorer is trained online on every valid measurement. Until it
+//! has a batch of samples, and whenever a proposer has no measured
+//! configs to start from, the loop measures a random bootstrap batch.
 //!
 //! Measurement ("run on real hardware") is a full architectural-simulator
 //! evaluation per DESIGN.md.
 //!
-//! The whole loop — lower → simulate → feature-extract → anneal — runs on
+//! The whole loop — lower → simulate → feature-extract → score — runs on
 //! rayon workers, and every (lowering, feature vector, simulated cost) is
 //! memoized per run keyed by config index, so duplicate configs proposed
-//! by the explorers are never re-lowered or re-simulated. The run is
-//! bit-for-bit deterministic for a fixed seed at any worker count: batches
-//! are proposed serially, measured in parallel, and recorded in proposal
-//! order, and each annealing chain owns its own seeded RNG.
+//! by any proposer or scorer are never re-lowered or re-simulated. The
+//! run is bit-for-bit deterministic for a fixed seed at any worker count:
+//! batches are proposed serially, measured in parallel, and recorded in
+//! proposal order, and each annealing chain and breeding generation owns
+//! its own seeded RNG.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -78,7 +103,7 @@ const _: fn() = || {
     assert_send_sync::<LoweredFunc>();
 };
 
-/// Which optimizer drives exploration.
+/// Which proposer × scorer pair drives exploration (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TunerKind {
     /// ML cost model (rank objective) + simulated annealing.
@@ -87,7 +112,8 @@ pub enum TunerKind {
     GbtReg,
     /// Blackbox random search.
     Random,
-    /// Blackbox genetic algorithm.
+    /// Blackbox genetic algorithm: the measured population breeds
+    /// children that are measured as bred.
     Genetic,
     /// Hand-written static cost model (no measurements drive the search;
     /// Table 1's "predefined cost model" row): candidates are ranked by a
@@ -118,7 +144,8 @@ pub struct TuneOptions {
     /// RNG seed (determinism for tests/benches).
     pub seed: u64,
     /// Config indices to seed the initial population with (transfer
-    /// learning; see [`crate::transfer::warm_start_seeds`]). Used by
+    /// learning; see [`crate::transfer::warm_start_seeds`]). Used by the
+    /// population-based kinds, [`TunerKind::Genetic`] and
     /// [`TunerKind::Evolutionary`]; empty means cold start. When tuning
     /// through a journal with no explicit seeds, [`tune_with`] fills
     /// this from the nearest journaled neighbor automatically.
@@ -249,8 +276,9 @@ struct CacheSlot {
 }
 
 /// Measurement/lowering memoization for one tuning run (keyed by config
-/// index): duplicate configs proposed by SA or the genetic explorer reuse
-/// the first lowering, feature vector and simulated cost.
+/// index): a config scored or measured again — by any proposer, scorer or
+/// the measurement itself — reuses the first lowering, feature vector and
+/// simulated cost.
 struct MeasureCache<'a> {
     task: &'a TuningTask,
     slots: Mutex<HashMap<u64, Arc<CacheSlot>>>,
@@ -566,15 +594,7 @@ pub fn tune_with(
         }));
     }
 
-    let opts = &eff;
-    let mut result = match kind {
-        TunerKind::Random => tune_random(task, &cache, opts, &mut rng, h),
-        TunerKind::Genetic => tune_genetic(task, &cache, opts, &mut rng, h),
-        TunerKind::GbtRank => tune_ml(task, &cache, opts, Objective::Rank, &mut rng, h),
-        TunerKind::GbtReg => tune_ml(task, &cache, opts, Objective::Regression, &mut rng, h),
-        TunerKind::Predefined => tune_predefined(task, &cache, opts, &mut rng, h),
-        TunerKind::Evolutionary => tune_evolutionary(task, &cache, opts, &mut rng, h),
-    };
+    let mut result = search(task, &cache, &eff, kind, &mut rng, h);
     if let Some(e) = journal_err.borrow_mut().take() {
         return Err(e);
     }
@@ -643,83 +663,6 @@ fn publish_stats(task: &str, result: &TuneResult) {
     }
 }
 
-/// Static heuristic score (higher = predicted faster): rewards SIMD-able
-/// unit-stride inner loops, parallelism and small inner-tile footprints —
-/// the kind of rules a hand-written cost model encodes. Deliberately
-/// ignores the memory hierarchy's actual behavior (that is the "model
-/// bias" the paper's Table 1 calls out).
-fn predefined_score(func: &tvm_ir::LoweredFunc) -> f64 {
-    let an = tvm_sim::analyze(func);
-    let vec_frac = if an.flops > 0.0 {
-        an.vector_flops / an.flops
-    } else {
-        0.0
-    };
-    let par = (an.parallel_extent as f64).clamp(1.0, 8.0);
-    let unit_stride = an
-        .accesses
-        .iter()
-        .filter(|a| a.innermost_stride == 1 || a.innermost_stride == 0)
-        .count() as f64
-        / an.accesses.len().max(1) as f64;
-    let overhead = an.loop_iterations / an.flops.max(1.0);
-    // GPU-flavored terms: total parallelism and coalesced global access.
-    let threads = (an.block_threads() * an.grid_blocks()) as f64;
-    let global: Vec<_> = an
-        .accesses
-        .iter()
-        .filter(|a| a.scope == tvm_ir::MemScope::Global)
-        .collect();
-    let coalesced = global
-        .iter()
-        .filter(|a| matches!(a.thread_stride, Some(0) | Some(1)))
-        .count() as f64
-        / global.len().max(1) as f64;
-    threads.clamp(1.0, 16384.0).log2()
-        + 3.0 * coalesced
-        + 3.0 * vec_frac
-        + par.log2()
-        + 2.0 * unit_stride
-        - overhead
-}
-
-fn tune_predefined(
-    task: &TuningTask,
-    cache: &MeasureCache,
-    opts: &TuneOptions,
-    rng: &mut StdRng,
-    mut h: History<'_>,
-) -> TuneResult {
-    // Score a sizeable random sample with the static model, then measure
-    // only the predicted-best configurations. Sampling is serial (RNG),
-    // lowering + scoring run on the workers.
-    let sample = (opts.n_trials * 8).max(64);
-    let sample_idx: Vec<u64> = (0..sample).map(|_| task.space.random_index(rng)).collect();
-    let mut scored: Vec<(u64, f64)> = sample_idx
-        .par_iter()
-        .map(|&idx| cache.lowered(idx).map(|(f, _)| (idx, predefined_score(&f))))
-        .collect::<Vec<Option<(u64, f64)>>>()
-        .into_iter()
-        .flatten()
-        .collect();
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-    scored.dedup_by_key(|(i, _)| *i);
-    let picked: Vec<u64> = scored
-        .into_iter()
-        .take(opts.n_trials)
-        .map(|(i, _)| i)
-        .collect();
-    for (&idx, (cost, _)) in picked.iter().zip(measure_batch(cache, &picked)) {
-        h.push(&task.space.get(idx), cost);
-    }
-    while h.records.len() < opts.n_trials {
-        let idx = task.space.random_index(rng);
-        let (cost, _) = measure_batch(cache, &[idx])[0].clone();
-        h.push(&task.space.get(idx), cost);
-    }
-    h.finish()
-}
-
 /// Per-trial observer: `(trial, config, cost)` for every trial past the
 /// journal-replay prefix. Used to append to the crash-safe journal as
 /// trials complete (not at the end of the run).
@@ -779,341 +722,540 @@ impl<'s> History<'s> {
     }
 }
 
-fn tune_random(
-    task: &TuningTask,
-    cache: &MeasureCache,
-    opts: &TuneOptions,
-    rng: &mut StdRng,
-    mut h: History<'_>,
-) -> TuneResult {
-    let mut visited = HashSet::new();
-    while h.records.len() < opts.n_trials {
-        // Propose a batch serially (RNG), measure it in parallel.
-        let want = opts.batch.min(opts.n_trials - h.records.len()).max(1);
-        let mut batch = Vec::with_capacity(want);
-        while batch.len() < want {
-            let idx = task.space.random_index(rng);
-            if task.space.size() > opts.n_trials as u64 && !visited.insert(idx) {
-                continue;
-            }
-            batch.push(idx);
-        }
-        for (&idx, (cost, _)) in batch.iter().zip(measure_batch(cache, &batch)) {
-            h.push(&task.space.get(idx), cost);
-        }
-    }
-    h.finish()
+// ----------------------------------------------------------- search loop
+
+/// Where a round's candidates come from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Proposer {
+    /// Uniform random configs not yet measured.
+    Random,
+    /// Simulated-annealing chains over the scorer's predictions, half of
+    /// them restarted each round from elites or random points (§5.3).
+    Anneal,
+    /// A best-first population of measured configs, bred by tournament
+    /// selection, knob-wise crossover and mutation.
+    Population,
+    /// One random sample ranked by the scorer; its top is measured, and
+    /// uniform random picks fill any budget left over.
+    Sample,
 }
 
-fn tune_genetic(
-    task: &TuningTask,
-    cache: &MeasureCache,
-    opts: &TuneOptions,
-    rng: &mut StdRng,
-    mut h: History<'_>,
-) -> TuneResult {
-    let pop_size = opts.batch.max(8);
-    // Initial population, measured as one parallel batch.
-    let init: Vec<u64> = (0..pop_size.min(opts.n_trials))
-        .map(|_| task.space.random_index(rng))
-        .collect();
-    let mut pop: Vec<(u64, f64)> = Vec::new();
-    for (&idx, (cost, _)) in init.iter().zip(measure_batch(cache, &init)) {
-        h.push(&task.space.get(idx), cost);
-        pop.push((idx, cost));
-    }
-    while h.records.len() < opts.n_trials {
-        // One generation: select/cross/mutate a batch of children from the
-        // current population (serial, RNG-driven), measure them in
-        // parallel, then fold the results back into the population.
-        let parent = |rng: &mut StdRng, pop: &[(u64, f64)]| -> u64 {
-            let a = &pop[rng.random_range(0..pop.len())];
-            let b = &pop[rng.random_range(0..pop.len())];
-            if a.1 < b.1 {
-                a.0
-            } else {
-                b.0
-            }
-        };
-        let want = opts.batch.min(opts.n_trials - h.records.len()).max(1);
-        let children: Vec<u64> = (0..want)
-            .map(|_| {
-                let pa = parent(rng, &pop);
-                let pb = parent(rng, &pop);
-                let child = crossover(&task.space, pa, pb, rng);
-                if rng.random_range(0.0..1.0) < 0.3 {
-                    task.space.neighbor(child, rng)
-                } else {
-                    child
-                }
-            })
-            .collect();
-        for (&child, (cost, _)) in children.iter().zip(measure_batch(cache, &children)) {
-            h.push(&task.space.get(child), cost);
-            // Replace the worst member.
-            if let Some(worst) = pop
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
-                .map(|(i, _)| i)
-            {
-                if cost < pop[worst].1 {
-                    pop[worst] = (child, cost);
-                }
-            }
-        }
-    }
-    h.finish()
+/// How candidates are ranked before they are measured.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Scorer {
+    /// Blackbox: candidates are measured as proposed.
+    None,
+    /// The static [`predefined_score`] heuristic.
+    Heuristic,
+    /// Gradient-boosted trees fitted online on the measured trials.
+    Gbt(Objective),
 }
 
-/// Binary-tournament parent selection over the measured population.
-fn tournament(rng: &mut StdRng, pop: &[(u64, f64)]) -> u64 {
-    let a = &pop[rng.random_range(0..pop.len())];
-    let b = &pop[rng.random_range(0..pop.len())];
-    if a.1 < b.1 {
-        a.0
+/// The proposer × scorer pair behind each public [`TunerKind`].
+fn plan(kind: TunerKind) -> (Proposer, Scorer) {
+    match kind {
+        TunerKind::Random => (Proposer::Random, Scorer::None),
+        TunerKind::Genetic => (Proposer::Population, Scorer::None),
+        TunerKind::Evolutionary => (Proposer::Population, Scorer::Gbt(Objective::Rank)),
+        TunerKind::GbtRank => (Proposer::Anneal, Scorer::Gbt(Objective::Rank)),
+        TunerKind::GbtReg => (Proposer::Anneal, Scorer::Gbt(Objective::Regression)),
+        TunerKind::Predefined => (Proposer::Sample, Scorer::Heuristic),
+    }
+}
+
+/// Boosting rounds each refit adds for the annealer. The model is
+/// extended warm-start on the grown history rather than refitted, so the
+/// serial fit stays off the measurement loop's critical path.
+const ANNEAL_TREES_PER_ROUND: usize = 4;
+/// Boosting rounds each refit adds for the population proposer.
+const POPULATION_TREES_PER_ROUND: usize = 8;
+/// Best measured configs kept as annealing restart points.
+const ELITES: usize = 8;
+/// Model-only breeding rounds between two measured batches.
+const EVOLVE_ROUNDS: usize = 6;
+
+/// Static heuristic score (higher = predicted faster): rewards SIMD-able
+/// unit-stride inner loops, parallelism and small inner-tile footprints —
+/// the kind of rules a hand-written cost model encodes. Deliberately
+/// ignores the memory hierarchy's actual behavior (that is the "model
+/// bias" the paper's Table 1 calls out).
+fn predefined_score(func: &tvm_ir::LoweredFunc) -> f64 {
+    let an = tvm_sim::analyze(func);
+    let vec_frac = if an.flops > 0.0 {
+        an.vector_flops / an.flops
     } else {
-        b.0
-    }
+        0.0
+    };
+    let par = (an.parallel_extent as f64).clamp(1.0, 8.0);
+    let unit_stride = an
+        .accesses
+        .iter()
+        .filter(|a| a.innermost_stride == 1 || a.innermost_stride == 0)
+        .count() as f64
+        / an.accesses.len().max(1) as f64;
+    let overhead = an.loop_iterations / an.flops.max(1.0);
+    // GPU-flavored terms: total parallelism and coalesced global access.
+    let threads = (an.block_threads() * an.grid_blocks()) as f64;
+    let global: Vec<_> = an
+        .accesses
+        .iter()
+        .filter(|a| a.scope == tvm_ir::MemScope::Global)
+        .collect();
+    let coalesced = global
+        .iter()
+        .filter(|a| matches!(a.thread_stride, Some(0) | Some(1)))
+        .count() as f64
+        / global.len().max(1) as f64;
+    threads.clamp(1.0, 16384.0).log2()
+        + 3.0 * coalesced
+        + 3.0 * vec_frac
+        + par.log2()
+        + 2.0 * unit_stride
+        - overhead
 }
 
-/// Evolutionary search guided by the GBT cost model (the sketch-space
-/// driver): children are bred serially (tournament + knob-wise crossover
-/// + neighbor mutation) from a per-generation RNG, scored by the model in
-/// proposal order on the worker pool, and only the predicted-best are
-/// measured. The per-generation RNG makes each generation's child stream
-/// a pure function of `(seed, generation)` — like the annealing path,
-/// the whole run is bit-for-bit identical at any worker count.
-/// [`TuneOptions::warm_start`] seeds join the initial population ahead of
-/// the random fill, which is all transfer needs: a good neighbor config
-/// is measured in generation zero and its genes spread from there.
-fn tune_evolutionary(
+/// The measurement loop every tuner kind runs: propose a batch (serially,
+/// from the RNG), measure it on the workers, record it in proposal order,
+/// and feed the results back to the proposer and the scorer.
+fn search(
     task: &TuningTask,
     cache: &MeasureCache,
     opts: &TuneOptions,
+    kind: TunerKind,
     rng: &mut StdRng,
     mut h: History<'_>,
 ) -> TuneResult {
-    const TREES_PER_ROUND: usize = 8;
-    let pop_size = (opts.batch * 2).max(16);
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut xs: Vec<Vec<f64>> = Vec::new();
-    let mut ys: Vec<f64> = Vec::new();
-    let mut model = Gbt::default();
-    let mut trained = 0usize;
-    let mut pop: Vec<(u64, f64)> = Vec::new();
-
-    // Initial population: the space's own declared seeds first (sketch
-    // generators emit occupancy-heuristic starting points, the analogue
-    // of TVM's fallback configs — putting them at fixed positions keeps
-    // cold and warmed runs comparable trial-for-trial), then transfer
-    // seeds, random fill after.
-    let mut init: Vec<u64> = Vec::new();
-    let init_size = pop_size.min(opts.n_trials).max(1);
-    for &c in &task.space.seeds {
-        let c = c % task.space.size().max(1);
-        if init.len() < init_size && !init.contains(&c) {
-            init.push(c);
-        }
-    }
-    for &s in &opts.warm_start {
-        let s = s % task.space.size().max(1);
-        if init.len() < init_size && !init.contains(&s) {
-            init.push(s);
-        }
-    }
-    let mut attempts = 0;
-    while init.len() < init_size {
-        let idx = task.space.random_index(rng);
-        attempts += 1;
-        if !init.contains(&idx) || task.space.size() <= init_size as u64 || attempts > 256 {
-            init.push(idx);
-        }
-    }
-    init.truncate(opts.n_trials);
-    let absorb = |idx: u64,
-                      cost: f64,
-                      feats: Option<Arc<Vec<f64>>>,
-                      h: &mut History<'_>,
-                      pop: &mut Vec<(u64, f64)>,
-                      xs: &mut Vec<Vec<f64>>,
-                      ys: &mut Vec<f64>| {
-        let cfg = task.space.get(idx);
-        match feats {
-            Some(f) if cost.is_finite() => {
-                xs.push(f.as_ref().clone());
-                ys.push(-(cost.max(1e-9)).ln());
-                h.push(&cfg, cost);
-                pop.push((idx, cost));
-            }
-            _ => h.push(&cfg, f64::INFINITY),
-        }
+    let (proposer, scorer) = plan(kind);
+    let mut s = Search {
+        task,
+        cache,
+        opts,
+        proposer,
+        scorer,
+        visited: HashSet::new(),
+        best: Vec::new(),
+        xs: Vec::new(),
+        ys: Vec::new(),
+        model: Gbt::default(),
+        trained: 0,
+        chains: Vec::new(),
+        stagnant: 0,
     };
-    for (&idx, (cost, feats)) in init.iter().zip(measure_batch(cache, &init)) {
-        visited.insert(idx);
-        absorb(idx, cost, feats, &mut h, &mut pop, &mut xs, &mut ys);
+    if proposer == Proposer::Anneal {
+        s.chains = (0..opts.sa_chains)
+            .map(|_| task.space.random_index(rng))
+            .collect();
+    }
+    let keep = match proposer {
+        Proposer::Population => population_size(opts),
+        _ => ELITES,
+    };
+    let mut first = true;
+    while h.records.len() < opts.n_trials {
+        let prev_best = h.best_ms;
+        let remaining = opts.n_trials - h.records.len();
+        let mut batch = s.propose(first, opts.batch.min(remaining).max(1), rng);
+        first = false;
+        batch.truncate(remaining);
+        s.visited.extend(&batch);
+        for (&idx, (cost, feats)) in batch.iter().zip(measure_batch(cache, &batch)) {
+            let cfg = task.space.get(idx);
+            match feats {
+                Some(feats) if cost.is_finite() => {
+                    if matches!(scorer, Scorer::Gbt(_)) {
+                        s.xs.push(feats.as_ref().clone());
+                        s.ys.push(-(cost.max(1e-9)).ln());
+                    }
+                    s.best.push((idx, cost));
+                    h.push(&cfg, cost);
+                }
+                _ => h.push(&cfg, f64::INFINITY),
+            }
+        }
+        s.best.sort_by(|a, b| a.1.total_cmp(&b.1));
+        s.best.dedup_by_key(|(i, _)| *i);
+        s.best.truncate(keep);
+        // Rounds since the best cost last improved; widens the annealer's
+        // random tail when the search plateaus (tree predictions tie over
+        // large flat regions, and a purely greedy batch would keep
+        // harvesting one basin).
+        s.stagnant = if h.best_ms < prev_best {
+            0
+        } else {
+            s.stagnant + 1
+        };
+    }
+    h.finish()
+}
+
+/// Size of the breeding population (and of its initial batch).
+fn population_size(opts: &TuneOptions) -> usize {
+    (opts.batch * 2).max(16)
+}
+
+/// State of one search.
+struct Search<'s, 'a> {
+    task: &'s TuningTask,
+    cache: &'s MeasureCache<'a>,
+    opts: &'s TuneOptions,
+    proposer: Proposer,
+    scorer: Scorer,
+    /// Every config measured so far.
+    visited: HashSet<u64>,
+    /// The best measured valid configs, best first: the annealer's
+    /// restart points and the breeding population.
+    best: Vec<(u64, f64)>,
+    /// The GBT scorer's training set: features and `-ln(cost)` of every
+    /// valid measurement.
+    xs: Vec<Vec<f64>>,
+    ys: Vec<f64>,
+    model: Gbt,
+    /// Training samples the model has been fitted on.
+    trained: usize,
+    /// Annealing chain heads; exploration state persists across model
+    /// updates (§5.3).
+    chains: Vec<u64>,
+    /// Rounds since the best cost last improved.
+    stagnant: usize,
+}
+
+impl Search<'_, '_> {
+    /// The next batch to measure (the loop truncates it to the budget);
+    /// `first` marks the run's first round.
+    fn propose(&mut self, first: bool, want: usize, rng: &mut StdRng) -> Vec<u64> {
+        let learning = matches!(self.scorer, Scorer::Gbt(_));
+        match self.proposer {
+            Proposer::Sample if first => self.rank_sample(rng),
+            Proposer::Random | Proposer::Sample => self.random_batch(Vec::new(), want, true, rng),
+            Proposer::Population if first => {
+                // Generation zero: the space's declared seeds first (sketch
+                // generators emit occupancy-heuristic starting points, the
+                // analogue of TVM's fallback configs; fixed positions keep
+                // cold and warmed runs comparable trial-for-trial), then
+                // transfer seeds, random fill after.
+                let n = population_size(self.opts).min(self.opts.n_trials).max(1);
+                let size = self.task.space.size().max(1);
+                let mut init: Vec<u64> = Vec::new();
+                for c in self.task.space.seeds.iter().chain(&self.opts.warm_start) {
+                    if init.len() < n && !init.contains(&(c % size)) {
+                        init.push(c % size);
+                    }
+                }
+                self.random_batch(init, n, true, rng)
+            }
+            // No usable population or training set yet: random bootstrap.
+            _ if self.best.is_empty() || learning && self.xs.len() < self.opts.batch => {
+                self.random_batch(Vec::new(), want, false, rng)
+            }
+            Proposer::Anneal => {
+                self.refit();
+                let _sa_span = tvm_obs::span("propose_sa");
+                self.propose_sa(rng)
+            }
+            Proposer::Population if learning => {
+                self.refit();
+                self.evolve(want, rng)
+            }
+            Proposer::Population => (0..want)
+                .map(|_| breed(&self.task.space, &self.best, rng))
+                .collect(),
+        }
     }
 
-    while h.records.len() < opts.n_trials {
-        // Keep the population best-first and bounded.
-        pop.sort_by(|a, b| a.1.total_cmp(&b.1));
-        pop.dedup_by_key(|(i, _)| *i);
-        pop.truncate(pop_size);
-        let want = opts.batch.min(opts.n_trials - h.records.len()).max(1);
-        let batch: Vec<u64> = if pop.is_empty() || xs.len() < opts.batch {
-            // No usable population / model yet: random bootstrap.
-            let mut b = Vec::new();
-            let mut attempts = 0;
-            while b.len() < want {
-                let idx = task.space.random_index(rng);
-                attempts += 1;
-                if !visited.contains(&idx)
-                    || task.space.size() <= opts.n_trials as u64
-                    || attempts > 256
-                {
-                    b.push(idx);
-                }
+    /// Fills `batch` up to `n` with uniform random configs. While the
+    /// space is larger than the trial budget, measured configs are
+    /// redrawn, and so are repeats within the batch when `distinct`.
+    fn random_batch(
+        &self,
+        mut batch: Vec<u64>,
+        n: usize,
+        distinct: bool,
+        rng: &mut StdRng,
+    ) -> Vec<u64> {
+        let small = self.task.space.size() <= self.opts.n_trials as u64;
+        while batch.len() < n {
+            let idx = self.task.space.random_index(rng);
+            if small || !(self.visited.contains(&idx) || distinct && batch.contains(&idx)) {
+                batch.push(idx);
             }
-            b
-        } else {
-            if xs.len() > trained {
-                let _fit_span = tvm_obs::span_with("fit", &[("samples", &xs.len().to_string())]);
-                let params = GbtParams {
-                    objective: Objective::Rank,
-                    ..GbtParams::default()
+        }
+        batch
+    }
+
+    /// The scorer's prediction for a config (higher = predicted faster);
+    /// `-inf` for configs that fail to lower.
+    fn score(&self, idx: u64) -> f64 {
+        match self.cache.lowered(idx) {
+            None => f64::NEG_INFINITY,
+            Some((func, feats)) => match self.scorer {
+                Scorer::Heuristic => predefined_score(&func),
+                _ => self.model.predict(&feats),
+            },
+        }
+    }
+
+    /// Extends the GBT model over the trials measured since the last fit.
+    fn refit(&mut self) {
+        let Scorer::Gbt(objective) = self.scorer else {
+            return;
+        };
+        if self.xs.len() <= self.trained {
+            return;
+        }
+        let _fit_span = tvm_obs::span_with("fit", &[("samples", &self.xs.len().to_string())]);
+        let params = GbtParams {
+            objective,
+            ..GbtParams::default()
+        };
+        let trees = match self.proposer {
+            Proposer::Anneal => ANNEAL_TREES_PER_ROUND,
+            _ => POPULATION_TREES_PER_ROUND,
+        };
+        let prof = FitProfile::default();
+        fit_more(
+            &mut self.model,
+            &self.xs,
+            &self.ys,
+            &params,
+            trees,
+            Some(&prof),
+        );
+        self.trained = self.xs.len();
+        // Each parallel region inside the fit (per-feature split searches,
+        // rank-gradient chunks, prediction updates) is one replayable
+        // phase; item durations within a region are uniform to first
+        // order, so the total is split evenly.
+        for (dur_s, items) in prof.take() {
+            self.cache
+                .record_phase("fit", vec![dur_s / items as f64; items]);
+        }
+    }
+
+    /// Scores a random sample of `8 × n_trials` (at least 64) configs
+    /// and returns the predicted-best `n_trials`, measured in one batch.
+    /// Sampling is serial (RNG); lowering and scoring run on the workers.
+    fn rank_sample(&self, rng: &mut StdRng) -> Vec<u64> {
+        let sample: Vec<u64> = (0..(self.opts.n_trials * 8).max(64))
+            .map(|_| self.task.space.random_index(rng))
+            .collect();
+        let mut scored: Vec<(u64, f64)> = sample
+            .par_iter()
+            .map(|&idx| (idx, self.score(idx)))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .filter(|(_, s)| s.is_finite())
+            .collect();
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
+        scored.dedup_by_key(|(i, _)| *i);
+        scored
+            .into_iter()
+            .take(self.opts.n_trials)
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    /// Picks `n` configs from scored candidates: most slots go to the
+    /// best-predicted unmeasured ones, the tail to random unmeasured
+    /// picks (so a biased early model cannot trap the search in one
+    /// basin). The random tail widens with `stagnant` — predicted-best
+    /// proposals keep landing in the plateau the best already sits on,
+    /// and random picks are what escape it.
+    fn select(
+        &self,
+        mut cands: Vec<(u64, f64)>,
+        n: usize,
+        stagnant: usize,
+        rng: &mut StdRng,
+    ) -> Vec<u64> {
+        cands.retain(|(i, _)| !self.visited.contains(i));
+        cands.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let explore = ((n / 4).max(1) * (1 + stagnant.min(3))).min(n / 2);
+        let exploit = n.saturating_sub(explore.max(1));
+        // At most one pick per distinct predicted score: tree predictions
+        // plateau, and a batch drawn from one plateau is nearly redundant.
+        // Candidates may repeat (chains revisit states), so the checks
+        // are exact rather than adjacent.
+        let mut out: Vec<u64> = Vec::new();
+        let mut levels: HashSet<u64> = HashSet::new();
+        for &(i, s) in &cands {
+            if out.len() >= exploit {
+                break;
+            }
+            if !out.contains(&i) && levels.insert(s.to_bits()) {
+                out.push(i);
+            }
+        }
+        // Backfill from the remaining candidates if the cap left slots empty.
+        for &(i, _) in &cands {
+            if out.len() >= exploit {
+                break;
+            }
+            if !out.contains(&i) {
+                out.push(i);
+            }
+        }
+        let small = self.task.space.size() <= self.opts.n_trials as u64;
+        let mut attempts = 0;
+        while out.len() < n {
+            let idx = self.task.space.random_index(rng);
+            attempts += 1;
+            if small || attempts > 64 || !self.visited.contains(&idx) && !out.contains(&idx) {
+                out.push(idx);
+            }
+        }
+        out
+    }
+
+    /// Parallel simulated annealing over the scorer: half the chains
+    /// restart each round — persisting every chain across model updates
+    /// lets one early bad basin capture the whole explorer — alternating
+    /// between elites (exploit known-good basins) and fresh random points
+    /// (keep exploring). Each chain anneals on its own rayon worker with
+    /// its own RNG (seeded serially from the master RNG), and candidates
+    /// are merged in chain order, so the proposal is thread-count
+    /// independent.
+    fn propose_sa(&mut self, rng: &mut StdRng) -> Vec<u64> {
+        let mut elite_cursor = 0usize;
+        for (i, c) in self.chains.iter_mut().enumerate() {
+            if i % 2 == 1 {
+                *c = if i % 4 == 1 && !self.best.is_empty() {
+                    let pick = self.best[elite_cursor % self.best.len()].0;
+                    elite_cursor += 1;
+                    pick
+                } else {
+                    self.task.space.random_index(rng)
                 };
-                let prof = FitProfile::default();
-                fit_more(&mut model, &xs, &ys, &params, TREES_PER_ROUND, Some(&prof));
-                trained = xs.len();
-                for (dur_s, items) in prof.take() {
-                    cache.record_phase("fit", vec![dur_s / items as f64; items]);
-                }
             }
-            // Evolve a virtual population against the model: several
-            // selection + breeding rounds run purely on predicted scores
-            // between hardware measurements, so each measured batch is
-            // the outcome of a real search over the model rather than a
-            // single breed step. All breeding is serial from a dedicated
-            // per-generation RNG (the child stream is a pure function of
-            // (seed, generation index)); only the scoring fans out, in
-            // proposal order, so the whole search is thread-count
-            // independent.
-            const EVOLVE_ROUNDS: usize = 6;
-            let pool = (want * 8).max(64);
-            let mut grng = StdRng::seed_from_u64(rng.next_u64());
-            let mut seen: HashSet<u64> = HashSet::new();
-            let mut scored: Vec<(u64, f64)> = Vec::new();
-            // Round zero: the measured population plus uniform immigrants.
-            let mut cands: Vec<u64> = Vec::new();
-            for &(i, _) in pop.iter() {
-                if seen.insert(i) {
-                    cands.push(i);
-                }
+        }
+        let jobs: Vec<(u64, u64)> = self.chains.iter().map(|&c| (c, rng.next_u64())).collect();
+        let (runs, durs) = timed_par_map(jobs, |(start, seed)| self.anneal_chain(start, seed));
+        self.cache.record_phase("anneal", durs);
+        let mut cands: Vec<(u64, f64)> = Vec::new();
+        for ((head, chain_cands), slot) in runs.into_iter().zip(self.chains.iter_mut()) {
+            *slot = head;
+            cands.extend(chain_cands);
+        }
+        self.select(cands, self.opts.batch, self.stagnant, rng)
+    }
+
+    /// One annealing chain: walks `sa_steps` neighbors under a geometric
+    /// cooling schedule, scoring via the memoized lowering cache. Returns
+    /// the final chain head and every scored state — the model already
+    /// paid for the prediction, so rejected moves still inform the
+    /// proposal.
+    fn anneal_chain(&self, start: u64, seed: u64) -> (u64, Vec<(u64, f64)>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut c = start;
+        let mut s = self.score(c);
+        let mut cand: Vec<(u64, f64)> = Vec::new();
+        let mut temp = 1.0f64;
+        for _ in 0..self.opts.sa_steps {
+            let nb = self.task.space.neighbor(c, &mut rng);
+            let ns = self.score(nb);
+            if ns.is_finite() {
+                cand.push((nb, ns));
             }
+            let accept = ns > s || rng.random_range(0.0..1.0) < ((ns - s) / temp).exp();
+            if accept && ns.is_finite() {
+                c = nb;
+                s = ns;
+            }
+            temp *= 0.9;
+        }
+        if s.is_finite() {
+            cand.push((c, s));
+        }
+        (c, cand)
+    }
+
+    /// Evolves a virtual population against the model for
+    /// [`EVOLVE_ROUNDS`] between measurements, so each measured batch is
+    /// the outcome of a search over the model rather than one breeding
+    /// step. Breeding is serial from a per-generation RNG (the child
+    /// stream is a pure function of `(seed, generation)`); only scoring
+    /// fans out, in proposal order, so the search is thread-count
+    /// independent.
+    fn evolve(&self, want: usize, rng: &mut StdRng) -> Vec<u64> {
+        let pool = (want * 8).max(64);
+        let mut grng = StdRng::seed_from_u64(rng.next_u64());
+        let space = &self.task.space;
+        let mut seen: HashSet<u64> = HashSet::new();
+        // Tops `cands` up to `n` with uniform random configs not yet seen.
+        let immigrate = |cands: &mut Vec<u64>,
+                         seen: &mut HashSet<u64>,
+                         n: usize,
+                         tries: usize,
+                         rng: &mut StdRng| {
             let mut attempts = 0;
-            while cands.len() < pool && attempts < pool * 8 {
+            while cands.len() < n && attempts < tries {
                 attempts += 1;
-                let idx = task.space.random_index(&mut grng);
+                let idx = space.random_index(rng);
                 if seen.insert(idx) {
                     cands.push(idx);
                 }
             }
-            for _ in 0..EVOLVE_ROUNDS {
-                if cands.is_empty() {
-                    break;
-                }
-                let (scores, durs) = timed_par_map(cands.clone(), |idx| {
-                    cache
-                        .lowered(idx)
-                        .map(|(_, f)| model.predict(&f))
-                        .unwrap_or(f64::NEG_INFINITY)
-                });
-                cache.record_phase("evolve", durs);
-                scored.extend(cands.iter().copied().zip(scores));
-                // Parents: the best-predicted candidates seen so far
-                // (negated score, so the tournament's lower-is-better
-                // convention applies unchanged).
-                let mut parents: Vec<(u64, f64)> =
-                    scored.iter().map(|&(i, s)| (i, -s)).collect();
-                parents.sort_by(|a, b| a.1.total_cmp(&b.1));
-                parents.dedup_by_key(|(i, _)| *i);
-                parents.truncate(pop_size);
-                cands.clear();
-                let mut attempts = 0;
-                while cands.len() < pool && attempts < pool * 8 {
-                    attempts += 1;
-                    let pa = tournament(&mut grng, &parents);
-                    let pb = tournament(&mut grng, &parents);
-                    let mut child = crossover(&task.space, pa, pb, &mut grng);
-                    if grng.random_range(0.0..1.0) < 0.3 {
-                        child = task.space.neighbor(child, &mut grng);
-                    }
-                    if seen.insert(child) {
-                        cands.push(child);
-                    }
-                }
-                // A slice of uniform immigrants each round keeps fresh
-                // regions in play, not only recombinations of the elite.
-                let mut attempts = 0;
-                while cands.len() < pool + pool / 4 && attempts < pool * 2 {
-                    attempts += 1;
-                    let idx = task.space.random_index(&mut grng);
-                    if seen.insert(idx) {
-                        cands.push(idx);
-                    }
-                }
-            }
-            // Measure the best-predicted unvisited candidates.
-            let mut ranked: Vec<(u64, f64)> = scored
-                .into_iter()
-                .filter(|(i, _)| !visited.contains(i))
-                .collect();
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-            // Same proposal guards as the annealing path: spread exploit
-            // slots across predicted-score plateaus, keep a random tail.
-            let explore = (want / 4).max(1);
-            let exploit = want.saturating_sub(explore);
-            let mut out: Vec<u64> = Vec::new();
-            let mut per_score: HashMap<u64, usize> = HashMap::new();
-            for &(i, s) in &ranked {
-                if out.len() >= exploit {
-                    break;
-                }
-                let level = per_score.entry(s.to_bits()).or_insert(0);
-                if *level < 1 {
-                    *level += 1;
-                    out.push(i);
-                }
-            }
-            for &(i, _) in &ranked {
-                if out.len() >= exploit {
-                    break;
-                }
-                if !out.contains(&i) {
-                    out.push(i);
-                }
-            }
-            let mut attempts = 0;
-            while out.len() < want {
-                let idx = task.space.random_index(&mut grng);
-                attempts += 1;
-                if (!visited.contains(&idx) && !out.contains(&idx))
-                    || task.space.size() <= opts.n_trials as u64
-                    || attempts > 64
-                {
-                    out.push(idx);
-                }
-            }
-            out
         };
-        for &idx in &batch {
-            visited.insert(idx);
+        // Round zero: the measured population plus uniform immigrants.
+        let mut cands: Vec<u64> = self
+            .best
+            .iter()
+            .map(|&(i, _)| i)
+            .filter(|&i| seen.insert(i))
+            .collect();
+        immigrate(&mut cands, &mut seen, pool, pool * 8, &mut grng);
+        let mut scored: Vec<(u64, f64)> = Vec::new();
+        for _ in 0..EVOLVE_ROUNDS {
+            if cands.is_empty() {
+                break;
+            }
+            let (scores, durs) = timed_par_map(cands.clone(), |idx| self.score(idx));
+            self.cache.record_phase("evolve", durs);
+            scored.extend(cands.iter().copied().zip(scores));
+            // Parents: the best-predicted candidates so far, negated so
+            // the tournament's lower-is-better convention applies.
+            let mut parents: Vec<(u64, f64)> = scored.iter().map(|&(i, s)| (i, -s)).collect();
+            parents.sort_by(|a, b| a.1.total_cmp(&b.1));
+            parents.dedup_by_key(|(i, _)| *i);
+            parents.truncate(population_size(self.opts));
+            cands.clear();
+            let mut attempts = 0;
+            while cands.len() < pool && attempts < pool * 8 {
+                attempts += 1;
+                let child = breed(space, &parents, &mut grng);
+                if seen.insert(child) {
+                    cands.push(child);
+                }
+            }
+            // A slice of uniform immigrants each round keeps fresh
+            // regions in play, not only recombinations of the elite.
+            immigrate(&mut cands, &mut seen, pool + pool / 4, pool * 2, &mut grng);
         }
-        for (&idx, (cost, feats)) in batch.iter().zip(measure_batch(cache, &batch)) {
-            absorb(idx, cost, feats, &mut h, &mut pop, &mut xs, &mut ys);
-        }
+        // Immigrants already keep exploring, so the random tail does not
+        // widen on plateaus here.
+        self.select(scored, want, 0, &mut grng)
     }
-    h.finish()
+}
+
+/// One child: two binary-tournament parents, knob-wise crossover, and a
+/// neighbor mutation with probability 0.3. `parents` are
+/// `(config, cost)` pairs, lower cost better.
+fn breed(space: &ConfigSpace, parents: &[(u64, f64)], rng: &mut StdRng) -> u64 {
+    let tournament = |rng: &mut StdRng| {
+        let a = &parents[rng.random_range(0..parents.len())];
+        let b = &parents[rng.random_range(0..parents.len())];
+        if a.1 < b.1 {
+            a.0
+        } else {
+            b.0
+        }
+    };
+    let (pa, pb) = (tournament(rng), tournament(rng));
+    let child = crossover(space, pa, pb, rng);
+    if rng.random_range(0.0..1.0) < 0.3 {
+        space.neighbor(child, rng)
+    } else {
+        child
+    }
 }
 
 fn crossover(space: &ConfigSpace, a: u64, b: u64, rng: &mut StdRng) -> u64 {
@@ -1135,249 +1277,4 @@ fn crossover(space: &ConfigSpace, a: u64, b: u64, rng: &mut StdRng) -> u64 {
         mult *= n;
     }
     out
-}
-
-fn tune_ml(
-    task: &TuningTask,
-    cache: &MeasureCache,
-    opts: &TuneOptions,
-    objective: Objective,
-    rng: &mut StdRng,
-    mut h: History<'_>,
-) -> TuneResult {
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut xs: Vec<Vec<f64>> = Vec::new();
-    let mut ys: Vec<f64> = Vec::new();
-    // Online cost model, extended warm-start each round: every batch of
-    // new measurements adds `TREES_PER_ROUND` boosting rounds on the
-    // grown history instead of refitting the whole ensemble, so the
-    // serial fit stays off the measurement loop's critical path.
-    const TREES_PER_ROUND: usize = 4;
-    let mut model = Gbt::default();
-    let mut trained = 0usize;
-    // Best measured configs so far; annealing restarts exploit these basins.
-    let mut elites: Vec<(u64, f64)> = Vec::new();
-    // Exploration state persists across model updates (§5.3).
-    let mut chains: Vec<u64> = (0..opts.sa_chains)
-        .map(|_| task.space.random_index(rng))
-        .collect();
-    // Rounds since the best cost last improved; widens exploration when the
-    // search plateaus (tree predictions tie over large flat regions of the
-    // space, and a purely greedy batch would keep harvesting one basin).
-    let mut stagnant = 0usize;
-    while h.records.len() < opts.n_trials {
-        let prev_best = h.best_ms;
-        let mut batch: Vec<u64> = if xs.len() < opts.batch {
-            // No training data yet: random candidates (§5.3).
-            let mut b = Vec::new();
-            while b.len() < opts.batch {
-                let idx = task.space.random_index(rng);
-                if visited.contains(&idx) && task.space.size() > opts.n_trials as u64 {
-                    continue;
-                }
-                b.push(idx);
-            }
-            b
-        } else {
-            let params = GbtParams {
-                objective,
-                ..GbtParams::default()
-            };
-            if xs.len() > trained {
-                let _fit_span = tvm_obs::span_with("fit", &[("samples", &xs.len().to_string())]);
-                let prof = FitProfile::default();
-                fit_more(&mut model, &xs, &ys, &params, TREES_PER_ROUND, Some(&prof));
-                trained = xs.len();
-                // Each parallel region inside the fit (per-feature split
-                // searches, rank-gradient chunks, prediction updates) is
-                // one replayable phase; item durations within a region are
-                // uniform to first order, so the total is split evenly.
-                for (dur_s, items) in prof.take() {
-                    cache.record_phase("fit", vec![dur_s / items as f64; items]);
-                }
-            }
-            let _sa_span = tvm_obs::span("propose_sa");
-            propose_sa(
-                task,
-                cache,
-                &model,
-                &mut chains,
-                &elites,
-                &visited,
-                stagnant,
-                opts,
-                rng,
-            )
-        };
-        batch.truncate(opts.n_trials - h.records.len());
-        for &idx in &batch {
-            visited.insert(idx);
-        }
-        for (&idx, (cost, feats)) in batch.iter().zip(measure_batch(cache, &batch)) {
-            let cfg = task.space.get(idx);
-            match feats {
-                Some(feats) if cost.is_finite() => {
-                    xs.push(feats.as_ref().clone());
-                    ys.push(-(cost.max(1e-9)).ln());
-                    h.push(&cfg, cost);
-                    elites.push((idx, cost));
-                }
-                _ => h.push(&cfg, f64::INFINITY),
-            }
-        }
-        elites.sort_by(|a, b| a.1.total_cmp(&b.1));
-        elites.dedup_by_key(|(i, _)| *i);
-        elites.truncate(8);
-        stagnant = if h.best_ms < prev_best {
-            0
-        } else {
-            stagnant + 1
-        };
-    }
-    h.finish()
-}
-
-/// Parallel simulated annealing over the space, scored by the cost model;
-/// returns the best-predicted unvisited batch with a reserved fraction of
-/// epsilon-greedy random slots (so a biased early model cannot trap the
-/// search in one basin). Each chain anneals on its own rayon worker with
-/// its own RNG (seeded serially from the master RNG), and candidates are
-/// merged in chain order — the proposal is thread-count independent.
-#[allow(clippy::too_many_arguments)] // explorer state threaded through one round
-fn propose_sa(
-    task: &TuningTask,
-    cache: &MeasureCache,
-    model: &Gbt,
-    chains: &mut [u64],
-    elites: &[(u64, f64)],
-    visited: &HashSet<u64>,
-    stagnant: usize,
-    opts: &TuneOptions,
-    rng: &mut StdRng,
-) -> Vec<u64> {
-    // Restart half the chains each round; persisting every chain across
-    // model updates lets one early bad basin capture the whole explorer.
-    // Restarts alternate between the best *measured* configs (exploit
-    // known-good basins) and fresh random points (keep exploring).
-    let mut elite_cursor = 0usize;
-    for (i, c) in chains.iter_mut().enumerate() {
-        if i % 2 == 1 {
-            *c = if i % 4 == 1 && !elites.is_empty() {
-                let pick = elites[elite_cursor % elites.len()].0;
-                elite_cursor += 1;
-                pick
-            } else {
-                task.space.random_index(rng)
-            };
-        }
-    }
-    let jobs: Vec<(u64, u64)> = chains.iter().map(|&c| (c, rng.next_u64())).collect();
-    let (runs, durs) = timed_par_map(jobs, |(start, seed)| {
-        anneal_chain(task, cache, model, start, seed, opts)
-    });
-    cache.record_phase("anneal", durs);
-    let mut cand: Vec<(u64, f64)> = Vec::new();
-    for ((head, chain_cands), slot) in runs.into_iter().zip(chains.iter_mut()) {
-        *slot = head;
-        cand.extend(
-            chain_cands
-                .into_iter()
-                .filter(|(i, _)| !visited.contains(i)),
-        );
-    }
-    cand.sort_by(|a, b| b.1.total_cmp(&a.1));
-    // Exact dedup: tree predictions are piecewise constant, so distinct
-    // configs frequently tie on score and duplicates of one index need not
-    // be adjacent after the sort — adjacent-only dedup would let one config
-    // eat several trial slots.
-    let mut seen: HashSet<u64> = HashSet::new();
-    // Epsilon-greedy batch: most slots go to the model's best proposals, the
-    // tail is pure random exploration. The random tail widens while the
-    // search is stagnant — predicted-best proposals keep landing in the
-    // plateau the best already sits on, and random picks are what escape it.
-    let explore = ((opts.batch / 4).max(1) * (1 + stagnant.min(3))).min(opts.batch / 2);
-    let exploit = opts.batch.saturating_sub(explore.max(1));
-    // Cap picks per distinct predicted score: tree predictions plateau, and
-    // a batch drawn from one plateau is nearly redundant — spread the
-    // exploit slots across score levels instead.
-    let mut out: Vec<u64> = Vec::new();
-    let mut per_score: HashMap<u64, usize> = HashMap::new();
-    for &(i, s) in &cand {
-        if out.len() >= exploit {
-            break;
-        }
-        let level = per_score.entry(s.to_bits()).or_insert(0);
-        if *level < 1 && seen.insert(i) {
-            *level += 1;
-            out.push(i);
-        }
-    }
-    // Backfill from the remaining candidates if the cap left slots empty.
-    for (i, _) in cand {
-        if out.len() >= exploit {
-            break;
-        }
-        if seen.insert(i) {
-            out.push(i);
-        }
-    }
-    // Fill the exploration slots (and any exploit shortfall) with random
-    // unvisited picks.
-    let mut attempts = 0;
-    while out.len() < opts.batch {
-        let idx = task.space.random_index(rng);
-        attempts += 1;
-        if (!visited.contains(&idx) && seen.insert(idx))
-            || task.space.size() <= opts.n_trials as u64
-            || attempts > 64
-        {
-            out.push(idx);
-        }
-    }
-    out
-}
-
-/// One annealing chain: walks `sa_steps` neighbors under a geometric
-/// cooling schedule, scoring via the memoized lowering cache. Returns the
-/// final chain head and every accepted state (with its predicted score).
-fn anneal_chain(
-    task: &TuningTask,
-    cache: &MeasureCache,
-    model: &Gbt,
-    start: u64,
-    seed: u64,
-    opts: &TuneOptions,
-) -> (u64, Vec<(u64, f64)>) {
-    let score = |idx: u64| -> f64 {
-        match cache.lowered(idx) {
-            Some((_, feats)) => model.predict(&feats),
-            None => f64::NEG_INFINITY,
-        }
-    };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut c = start;
-    let mut s = score(c);
-    let mut cand: Vec<(u64, f64)> = Vec::new();
-    let mut temp = 1.0f64;
-    let cooling = 0.9f64;
-    for _ in 0..opts.sa_steps {
-        let nb = task.space.neighbor(c, &mut rng);
-        let ns = score(nb);
-        // Every scored state is a candidate — the model already paid for
-        // the prediction, so rejected moves still inform the proposal.
-        if ns.is_finite() {
-            cand.push((nb, ns));
-        }
-        let accept = ns > s || rng.random_range(0.0..1.0) < ((ns - s) / temp).exp();
-        if accept && ns.is_finite() {
-            c = nb;
-            s = ns;
-        }
-        temp *= cooling;
-    }
-    // Also consider the final chain head.
-    if s.is_finite() {
-        cand.push((c, s));
-    }
-    (c, cand)
 }

@@ -69,7 +69,14 @@ fn history_identical_across_worker_counts() {
         seed: 13,
         ..Default::default()
     };
-    for kind in [TunerKind::GbtRank, TunerKind::GbtReg, TunerKind::Random] {
+    for kind in [
+        TunerKind::GbtRank,
+        TunerKind::GbtReg,
+        TunerKind::Random,
+        TunerKind::Genetic,
+        TunerKind::Predefined,
+        TunerKind::Evolutionary,
+    ] {
         let r1 = tune_with_threads(1, kind, &opts);
         let r4 = tune_with_threads(4, kind, &opts);
         assert_eq!(

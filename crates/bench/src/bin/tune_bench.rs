@@ -672,14 +672,18 @@ fn bench_sketch(quick: bool) -> bool {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    if std::env::args().any(|a| a == "--robustness") {
+    let flags = tvm_bench::parse_flags(
+        "usage: tune_bench [--quick] [--robustness | --sketch]",
+        &["--quick", "--robustness", "--sketch"],
+    );
+    let quick = flags.contains(&"--quick");
+    if flags.contains(&"--robustness") {
         if !bench_robustness(quick) {
             std::process::exit(1);
         }
         return;
     }
-    if std::env::args().any(|a| a == "--sketch") {
+    if flags.contains(&"--sketch") {
         if !bench_sketch(quick) {
             std::process::exit(1);
         }

@@ -30,8 +30,8 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick =
+        tvm_bench::parse_flags("usage: tvm-prof [--quick]", &["--quick"]).contains(&"--quick");
     let repeats = if quick { 5 } else { 15 };
     let target = titanx();
     let mut ok = true;
